@@ -1,4 +1,5 @@
-// Per-kind table lookup micro-benchmark with a heap-allocation counter.
+// Per-kind table lookup micro-benchmark with a heap-allocation counter, and
+// the LPM single-op publish cost by key layout.
 //
 // The lookup hot path is designed to be allocation-free in steady state:
 // SBO BitStrings, decoded-entry caches, and in-place LookupInto against a
@@ -6,16 +7,27 @@
 // and — via global operator new/delete counting — asserts the number of
 // heap allocations per steady-state lookup is exactly zero.
 //
-//   bench_tables           full run, prints a table per match kind
+// It then times one unbatched LPM upsert (write + publish + grace period)
+// on two layouts of the same table: clustered, every route under one /8
+// like the baseline's ipv4_lpm (10.0.0.0 + k), so all of them share one
+// root slot; and spread, the same number of routes evenly over the address
+// space. Publication copies one stride path, so the two should cost about
+// the same; a per-op cost that grows with the routes sharing a slot shows
+// up as a ratio well above 1.
+//
+//   bench_tables           full run, prints both tables
 //   bench_tables --smoke   CI gate: exit 1 if any kind allocates per lookup
+//                          or clustered/spread single-op cost exceeds 2x
 //
 // Hand-rolled timing (min of interleaved rounds) instead of
 // google-benchmark because the deliverable includes an exit code and an
 // allocation count, not just a time.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -191,6 +203,94 @@ KindReport MeasureKind(table::MatchKind kind, bool smoke) {
   return rep;
 }
 
+// --- LPM single-op publish cost ----------------------------------------------
+
+struct LpmLayout {
+  mem::Pool pool;
+  std::unique_ptr<table::MatchTable> table;
+  std::vector<uint32_t> keys;  // the /32s, for the timed upserts
+
+  static mem::PoolConfig PoolFor(uint32_t size) {
+    mem::PoolConfig cfg = BenchPool();
+    cfg.sram_blocks = size / cfg.sram_depth + 8;
+    return cfg;
+  }
+
+  LpmLayout(uint32_t size, bool clustered) : pool(PoolFor(size)) {
+    table::TableSpec spec = Spec(table::MatchKind::kLpm);
+    spec.size = size;
+    auto created = table::CreateTable(spec, pool, 1);
+    if (!created.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", created.status().ToString().c_str());
+      std::exit(2);
+    }
+    table = std::move(*created);
+    // Fill to ~98% like the baseline (8001 of 8192), plus the /8 above the
+    // clustered routes.
+    const uint32_t routes = size - size / 64;
+    const uint32_t stride = static_cast<uint32_t>((uint64_t{1} << 32) / routes);
+    table->BeginBatch();
+    if (clustered) Add(0x0A000000, 8, 0);
+    for (uint32_t k = 0; k < routes; ++k) {
+      keys.push_back(clustered ? 0x0A000000 + k : k * stride);
+      Add(keys.back(), 32, k);
+    }
+    table->EndBatch();
+  }
+
+  void Add(uint32_t addr, uint32_t len, uint64_t data) {
+    table::Entry e;
+    e.key = mem::BitString(kKeyWidth, addr);
+    e.prefix_len = len;
+    e.action_id = 1;
+    e.action_data = mem::BitString(kActionWidth, data);
+    if (Status s = table->Insert(e); !s.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", s.ToString().c_str());
+      std::exit(2);
+    }
+  }
+
+  // Microseconds per unbatched upsert over `ops` random routes.
+  double TimeUpserts(util::Rng& rng, uint32_t ops) {
+    auto t0 = Clock::now();
+    for (uint32_t i = 0; i < ops; ++i) {
+      Add(keys[rng.NextBelow(keys.size())], 32, rng.Next());
+    }
+    auto t1 = Clock::now();
+    return std::chrono::duration<double, std::micro>(t1 - t0).count() / ops;
+  }
+};
+
+struct PublishReport {
+  uint32_t size = 0;
+  double clustered_us = 0;
+  double spread_us = 0;
+  double ratio() const { return clustered_us / spread_us; }
+};
+
+// Min of interleaved rounds, alternating which layout goes first, so host
+// drift hits both alike.
+PublishReport MeasurePublish(uint32_t size, bool smoke) {
+  LpmLayout clustered(size, /*clustered=*/true);
+  LpmLayout spread(size, /*clustered=*/false);
+  util::Rng rng(0x9B11 + size);
+  const int rounds = smoke ? 7 : 11;
+  const uint32_t ops = smoke ? 200 : 500;
+  PublishReport rep;
+  rep.size = size;
+  rep.clustered_us = rep.spread_us = 1e18;
+  for (int r = 0; r < rounds; ++r) {
+    LpmLayout* order[2] = {&clustered, &spread};
+    if (r % 2 == 1) std::swap(order[0], order[1]);
+    for (LpmLayout* l : order) {
+      double us = l->TimeUpserts(rng, ops);
+      double& best = l == &clustered ? rep.clustered_us : rep.spread_us;
+      best = std::min(best, us);
+    }
+  }
+  return rep;
+}
+
 int Run(bool smoke) {
 #ifndef NDEBUG
   std::fprintf(stderr,
@@ -222,6 +322,27 @@ int Run(bool smoke) {
     return 1;
   }
   std::printf("OK: 0 heap allocations per steady-state lookup, all kinds\n");
+
+  constexpr double kMaxRatio = 2.0;
+  std::printf("\nlpm single-op upsert+publish, us/op (min of rounds)\n");
+  std::printf("%-10s %12s %12s %8s\n", "entries", "clustered", "spread",
+              "ratio");
+  bool flat = true;
+  for (uint32_t size : {8192u, 65536u}) {
+    PublishReport rep = MeasurePublish(size, smoke);
+    std::printf("%-10u %12.2f %12.2f %8.2f\n", rep.size, rep.clustered_us,
+                rep.spread_us, rep.ratio());
+    if (rep.ratio() > kMaxRatio) flat = false;
+  }
+  if (!flat) {
+    std::fprintf(stderr,
+                 "FAIL: clustered single-op publish costs more than %.1fx "
+                 "spread\n",
+                 kMaxRatio);
+    return 1;
+  }
+  std::printf("OK: clustered/spread single-op publish within %.1fx\n",
+              kMaxRatio);
   return 0;
 }
 

@@ -1,5 +1,7 @@
 #include "daemon/backends.h"
 
+#include <span>
+
 #include "controller/designs.h"
 
 namespace ipsa::daemon {
@@ -51,20 +53,17 @@ void FillTableRows(const arch::TableCatalog& catalog,
   }
 }
 
-// Applies one bulk frame with per-table batched publication: every table
-// the frame touches defers its index republish to EndEntryBatch, so the
-// frame's entries become visible to lookups in one swap per table instead
-// of one per op. Failures are collected per-op — the frame (and stream)
-// never aborts, and publication still happens for the ops that succeeded.
-template <typename Device, typename Fn>
-rpc::TableBulkResponse ApplyBulkFrame(Device& device,
-                                      const rpc::TableBulkRequest& req,
-                                      Fn&& apply_one) {
-  // Distinct tables in first-seen order. Frames touch one or two tables in
-  // practice, so a linear scan beats a hash set here. A table that fails
-  // BeginEntryBatch (unknown name) is left out; its ops fail individually.
+// Runs `body` with every table `ops` touch inside an open entry batch, so
+// each of those tables republishes its index once, when `body` returns,
+// instead of once per op: the ops become visible to lookups together.
+// Frames touch one or two tables in practice, so a linear scan beats a hash
+// set here. A table that fails BeginEntryBatch (unknown name) is left out;
+// its ops fail individually.
+template <typename Device, typename Body>
+auto InEntryBatches(Device& device, std::span<const rpc::TableOp> ops,
+                    Body&& body) {
   std::vector<const std::string*> batched;
-  for (const rpc::TableOp& op : req.ops) {
+  for (const rpc::TableOp& op : ops) {
     bool seen = false;
     for (const std::string* t : batched) {
       if (*t == op.table) {
@@ -76,18 +75,23 @@ rpc::TableBulkResponse ApplyBulkFrame(Device& device,
       batched.push_back(&op.table);
     }
   }
-  rpc::TableBulkResponse resp;
-  for (uint32_t i = 0; i < req.ops.size(); ++i) {
-    Status s = apply_one(req.ops[i]);
-    if (s.ok()) {
-      ++resp.applied;
-    } else {
-      resp.failures.push_back(
-          rpc::BulkFailure{i, static_cast<uint16_t>(s.code()), s.message()});
-    }
-  }
+  auto result = body();
   for (const std::string* t : batched) (void)device.EndEntryBatch(*t);
-  return resp;
+  return result;
+}
+
+// kModify is erase + add under one publication, so a concurrent lookup sees
+// the old entry or the new one, never the miss between them.
+template <typename Device, typename Controller>
+Status ModifyEntry(Device& device, Controller& controller,
+                   const rpc::TableOp& op) {
+  return InEntryBatches(device, {&op, 1}, [&] {
+    Status erased = device.EraseEntry(op.table, op.entry);
+    if (!erased.ok() && erased.code() != StatusCode::kNotFound) {
+      return erased;
+    }
+    return controller.AddEntry(op.table, op.entry);
+  });
 }
 
 }  // namespace
@@ -186,24 +190,31 @@ Status IpsaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
   switch (op.op) {
     case rpc::TableOpKind::kAdd:
       return controller_.AddEntry(op.table, op.entry, /*upsert=*/!strict_add);
-    case rpc::TableOpKind::kModify: {
-      Status erased = device_.EraseEntry(op.table, op.entry);
-      if (!erased.ok() && erased.code() != StatusCode::kNotFound) {
-        return erased;
-      }
-      return controller_.AddEntry(op.table, op.entry);
-    }
+    case rpc::TableOpKind::kModify:
+      return ModifyEntry(device_, controller_, op);
     case rpc::TableOpKind::kDelete:
       return device_.EraseEntry(op.table, op.entry);
   }
   return InvalidArgument("bad table op");
 }
 
+Result<rpc::TableBatchResponse> IpsaBackend::ApplyTableBatch(
+    const rpc::TableBatchRequest& req) {
+  return InEntryBatches(device_, req.ops, [&] {
+    return rpc::ApplyOpsUntilFailure(
+        req.ops, [this](const rpc::TableOp& op) { return ApplyTableOp(op); });
+  });
+}
+
 Result<rpc::TableBulkResponse> IpsaBackend::ApplyTableBulk(
     const rpc::TableBulkRequest& req) {
   if (!has_design_) return FailedPrecondition("no design installed");
-  return ApplyBulkFrame(device_, req, [this](const rpc::TableOp& op) {
-    return ApplyOne(op, /*strict_add=*/true);
+  return InEntryBatches(device_, req.ops, [&] {
+    return rpc::ApplyOpsCollectingFailures(
+        req.ops,
+        [this](const rpc::TableOp& op) {
+          return ApplyOne(op, /*strict_add=*/true);
+        });
   });
 }
 
@@ -287,13 +298,8 @@ Status PisaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
       // Goes through the flow controller so the shadow store keeps a copy
       // for repopulation after the next full reload.
       return controller_.AddEntry(op.table, op.entry, /*upsert=*/!strict_add);
-    case rpc::TableOpKind::kModify: {
-      Status erased = device_.EraseEntry(op.table, op.entry);
-      if (!erased.ok() && erased.code() != StatusCode::kNotFound) {
-        return erased;
-      }
-      return controller_.AddEntry(op.table, op.entry);
-    }
+    case rpc::TableOpKind::kModify:
+      return ModifyEntry(device_, controller_, op);
     case rpc::TableOpKind::kDelete:
       // Device-only: the shadow keeps the entry and restores it on the next
       // reload, mirroring how a real driver's delete bypasses the
@@ -303,11 +309,23 @@ Status PisaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
   return InvalidArgument("bad table op");
 }
 
+Result<rpc::TableBatchResponse> PisaBackend::ApplyTableBatch(
+    const rpc::TableBatchRequest& req) {
+  return InEntryBatches(device_, req.ops, [&] {
+    return rpc::ApplyOpsUntilFailure(
+        req.ops, [this](const rpc::TableOp& op) { return ApplyTableOp(op); });
+  });
+}
+
 Result<rpc::TableBulkResponse> PisaBackend::ApplyTableBulk(
     const rpc::TableBulkRequest& req) {
   if (!has_design_) return FailedPrecondition("no design installed");
-  return ApplyBulkFrame(device_, req, [this](const rpc::TableOp& op) {
-    return ApplyOne(op, /*strict_add=*/true);
+  return InEntryBatches(device_, req.ops, [&] {
+    return rpc::ApplyOpsCollectingFailures(
+        req.ops,
+        [this](const rpc::TableOp& op) {
+          return ApplyOne(op, /*strict_add=*/true);
+        });
   });
 }
 

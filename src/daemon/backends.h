@@ -78,6 +78,8 @@ class IpsaBackend : public DeviceBackend {
   Result<rpc::InstallOutcome> Install(rpc::InstallKind kind,
                                       const std::string& source) override;
   Status ApplyTableOp(const rpc::TableOp& op) override;
+  Result<rpc::TableBatchResponse> ApplyTableBatch(
+      const rpc::TableBatchRequest& req) override;
   Result<rpc::TableBulkResponse> ApplyTableBulk(
       const rpc::TableBulkRequest& req) override;
   Result<compiler::ApiSpec> Api() override;
@@ -126,6 +128,8 @@ class PisaBackend : public DeviceBackend {
   Result<rpc::InstallOutcome> Install(rpc::InstallKind kind,
                                       const std::string& source) override;
   Status ApplyTableOp(const rpc::TableOp& op) override;
+  Result<rpc::TableBatchResponse> ApplyTableBatch(
+      const rpc::TableBatchRequest& req) override;
   Result<rpc::TableBulkResponse> ApplyTableBulk(
       const rpc::TableBulkRequest& req) override;
   Result<compiler::ApiSpec> Api() override;

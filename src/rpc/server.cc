@@ -81,25 +81,13 @@ Status Dispatcher::Dispatch(const wire::Frame& request, wire::Writer& body) {
     case MsgType::kTableBatchReq: {
       IPSA_ASSIGN_OR_RETURN(TableBatchRequest req,
                             TableBatchRequest::Decode(r));
-      TableBatchResponse resp;
-      for (uint32_t i = 0; i < req.ops.size(); ++i) {
-        Status s = backend_->ApplyTableOp(req.ops[i]);
-        if (!s.ok()) {
-          // The ops before the failure stay applied (the batch is a latency
-          // optimization, not a transaction); the failing index travels in
-          // the error message since non-OK responses carry no body.
-          return Status(s.code(), "batch op " + std::to_string(i) + ": " +
-                                      s.message());
-        }
-        ++resp.applied;
-      }
+      IPSA_ASSIGN_OR_RETURN(TableBatchResponse resp,
+                            backend_->ApplyTableBatch(req));
       resp.Encode(body);
       return OkStatus();
     }
     case MsgType::kTableBulkReq: {
       IPSA_ASSIGN_OR_RETURN(TableBulkRequest req, TableBulkRequest::Decode(r));
-      // Bulk frames never abort the stream: per-op failures travel in the
-      // response body and the remaining ops still apply.
       IPSA_ASSIGN_OR_RETURN(TableBulkResponse resp,
                             backend_->ApplyTableBulk(req));
       resp.Encode(body);

@@ -95,15 +95,6 @@ void ExactTable::RepublishBucket(std::atomic<Node*>& bucket,
   if (remove != nullptr) domain.Retire(const_cast<Node*>(remove));
 }
 
-void ExactTable::MaybeSynchronize() {
-  if (!in_batch_) rcu::Domain::Global().Synchronize();
-}
-
-void ExactTable::EndBatch() {
-  in_batch_ = false;
-  rcu::Domain::Global().Synchronize();
-}
-
 Status ExactTable::InsertOp(const Entry& entry, bool upsert) {
   if (entry.key.bit_width() != spec_.key_width_bits) {
     return InvalidArgument("exact table '" + spec_.name +
@@ -134,7 +125,7 @@ Status ExactTable::InsertOp(const Entry& entry, bool upsert) {
     repl->key = existing->key;
     repl->action = DecodeRow(existing->row);
     RepublishBucket(bucket, existing, repl);
-    MaybeSynchronize();
+    MaybePublish();
     return OkStatus();
   }
   if (free_rows_.empty()) {
@@ -174,7 +165,7 @@ Status ExactTable::Erase(const Entry& entry) {
   free_rows_.push_back(existing->row);
   RepublishBucket(bucket, existing, nullptr);
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
-  MaybeSynchronize();
+  MaybePublish();
   return OkStatus();
 }
 

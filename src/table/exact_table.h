@@ -30,8 +30,6 @@ class ExactTable : public MatchTable {
   Status Erase(const Entry& entry) override;
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
 
   uint32_t shard_count() const {
     return static_cast<uint32_t>(shards_.size());
@@ -74,13 +72,13 @@ class ExactTable : public MatchTable {
   // suffix, swaps the head, retires the replaced nodes.
   void RepublishBucket(std::atomic<Node*>& bucket, const Node* remove,
                        Node* add);
-  void MaybeSynchronize();
+  // Chains publish per op; a batch only defers the grace period.
+  void Publish() override { rcu::Domain::Global().Synchronize(); }
 
   std::vector<Shard> shards_;
   uint32_t shard_mask_ = 0;
   uint32_t shard_bits_ = 0;
   std::vector<uint32_t> free_rows_;  // LIFO free list (writer-only)
-  bool in_batch_ = false;
 };
 
 }  // namespace ipsa::table

@@ -1,7 +1,5 @@
 #include "table/lpm_table.h"
 
-#include <algorithm>
-
 namespace ipsa::table {
 
 LpmTable::LpmTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
@@ -9,23 +7,32 @@ LpmTable::LpmTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
       root_(std::make_unique<Node>()) {
   free_rows_.reserve(spec_.size);
   for (uint32_t r = spec_.size; r > 0; --r) free_rows_.push_back(r - 1);
-  // Partition on the top R bits, targeting ~64 entries per shard so a shard
-  // rebuild stays small while slot fan-out stays bounded (<= 4096 slots).
+  // Partition on the top R bits, ~64 entries per slot for spread keys, with
+  // slot fan-out (the per-publish root copy) bounded at 4096.
   uint32_t bits = 0;
   while ((1u << (bits + 1)) <= spec_.size) ++bits;
-  root_bits_ = std::min(
-      {bits > 6 ? bits - 6 : 0, 12u, spec_.key_width_bits});
-  dirty_slots_.assign(size_t{1} << root_bits_, false);
-  Root* initial = new Root;
-  initial->root_bits = root_bits_;
-  initial->slots.resize(size_t{1} << root_bits_);
-  published_.store(initial, std::memory_order_release);
+  root_bits_ = std::min({bits > 6 ? bits - 6 : 0, 12u, spec_.key_width_bits});
+  published_.store(new Root{std::vector<Slot>(shard_count())},
+                   std::memory_order_release);
 }
 
 LpmTable::~LpmTable() {
+  // No readers by contract. The live stride nodes join the unpublished
+  // retirements, freed with retired_; the binary trie (and with it every
+  // live leaf) is freed iteratively, since recursive destruction of a deep
+  // chain of unique_ptrs can overflow the stack for adversarial prefix sets.
+  auto& dead = retired_.nodes;
+  size_t i = dead.size();
+  for (const Slot& s : Pending().slots) {
+    if (s.node != nullptr) dead.emplace_back(s.node);
+  }
+  for (; i < dead.size(); ++i) {
+    for (const StrideNode::Cell& c : dead[i]->cell) {
+      if (c.child != nullptr) dead.emplace_back(c.child);
+    }
+  }
+  delete pending_;
   delete published_.load(std::memory_order_relaxed);
-  // Free the trie iteratively; recursive destruction of a deep chain of
-  // unique_ptrs can overflow the stack for adversarial prefix sets.
   std::vector<std::unique_ptr<Node>> stack;
   stack.push_back(std::move(root_));
   while (!stack.empty()) {
@@ -37,209 +44,177 @@ LpmTable::~LpmTable() {
   }
 }
 
-void LpmTable::MarkDirty(const Entry& entry) {
-  any_dirty_ = true;
-  if (entry.prefix_len <= root_bits_) {
-    // Short prefixes live in the per-slot leaf array, rebuilt wholesale.
-    short_dirty_ = true;
-    return;
+Status LpmTable::CheckShape(const Entry& entry) const {
+  if (entry.key.bit_width() == spec_.key_width_bits &&
+      entry.prefix_len <= spec_.key_width_bits) {
+    return OkStatus();
   }
-  // prefix_len > R: the top R bits are fully specified — exactly one shard.
-  uint32_t v = root_bits_ != 0
-                   ? static_cast<uint32_t>(entry.key.GetBits(
-                         spec_.key_width_bits - root_bits_, root_bits_))
-                   : 0;
-  dirty_slots_[v] = true;
+  return InvalidArgument("lpm table '" + spec_.name +
+                         "': key width or prefix length mismatch");
 }
 
 Status LpmTable::InsertOp(const Entry& entry, bool upsert) {
-  if (entry.key.bit_width() != spec_.key_width_bits) {
-    return InvalidArgument("lpm table '" + spec_.name +
-                           "': key width mismatch");
-  }
-  if (entry.prefix_len > spec_.key_width_bits) {
-    return InvalidArgument("lpm table '" + spec_.name +
-                           "': prefix length exceeds key width");
-  }
+  IPSA_RETURN_IF_ERROR(CheckShape(entry));
   Node* node = root_.get();
   for (uint32_t i = 0; i < entry.prefix_len; ++i) {
     int b = KeyBitMsb(entry.key, i) ? 1 : 0;
     if (!node->child[b]) node->child[b] = std::make_unique<Node>();
     node = node->child[b].get();
   }
-  if (node->row >= 0) {
-    if (!upsert) {
-      return AlreadyExists("lpm table '" + spec_.name +
-                           "': duplicate prefix");
-    }
-    uint32_t row = static_cast<uint32_t>(node->row);
-    IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
-    MarkDirty(entry);
-    MaybePublish();
-    return OkStatus();
+  const bool present = node->leaf != nullptr;
+  if (present && !upsert) {
+    return AlreadyExists("lpm table '" + spec_.name + "': duplicate prefix");
   }
-  if (free_rows_.empty()) {
+  if (!present && free_rows_.empty()) {
     return ResourceExhausted("lpm table '" + spec_.name + "' is full");
   }
-  uint32_t row = free_rows_.back();
+  uint32_t row = present ? node->leaf->row : free_rows_.back();
   IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
-  free_rows_.pop_back();
-  node->row = static_cast<int32_t>(row);
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
-  MarkDirty(entry);
-  MaybePublish();
+  if (!present) {
+    free_rows_.pop_back();
+    entry_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  SetLeaf(*node, row);
+  Repath(entry.key, entry.prefix_len);
   return OkStatus();
 }
 
 Status LpmTable::Erase(const Entry& entry) {
+  IPSA_RETURN_IF_ERROR(CheckShape(entry));
   Node* node = root_.get();
   for (uint32_t i = 0; i < entry.prefix_len && node != nullptr; ++i) {
     node = node->child[KeyBitMsb(entry.key, i) ? 1 : 0].get();
   }
-  if (node == nullptr || node->row < 0) {
+  if (node == nullptr || node->leaf == nullptr) {
     return NotFound("lpm table '" + spec_.name + "': prefix not present");
   }
-  uint32_t row = static_cast<uint32_t>(node->row);
+  uint32_t row = node->leaf->row;
   IPSA_RETURN_IF_ERROR(storage_.InvalidateRow(*pool_, row));
   free_rows_.push_back(row);
-  node->row = -1;
+  SetLeaf(*node, -1);
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
-  MarkDirty(entry);
-  MaybePublish();
+  Repath(entry.key, entry.prefix_len);
   return OkStatus();
 }
 
-void LpmTable::MaybePublish() {
-  if (!in_batch_) Publish();
+LpmTable::Root& LpmTable::Pending() {
+  if (pending_ == nullptr) {
+    pending_ = new Root(*published_.load(std::memory_order_relaxed));
+  }
+  return *pending_;
 }
 
-void LpmTable::EndBatch() {
-  in_batch_ = false;
-  Publish();
+LpmTable::StrideNode* LpmTable::Own(StrideNode* n) {
+  if (n != nullptr && n->gen == gen_) return n;
+  StrideNode* copy = n != nullptr ? new StrideNode(*n) : new StrideNode;
+  copy->gen = gen_;
+  ++counts_.built;
+  if (n != nullptr) {
+    retired_.nodes.emplace_back(n);
+    ++counts_.retired;
+  }
+  return copy;
+}
+
+void LpmTable::SetLeaf(Node& n, int64_t row) {
+  if (n.leaf != nullptr) {
+    retired_.leaves.push_back(std::move(n.leaf));
+    ++counts_.retired;
+  }
+  if (row >= 0) {
+    auto r = static_cast<uint32_t>(row);
+    n.leaf = std::make_unique<const Leaf>(Leaf{r, DecodeRow(r)});
+    ++counts_.built;
+  }
+}
+
+const LpmTable::Leaf* LpmTable::Follow(const Node*& n, uint32_t v,
+                                       uint32_t bits, const Leaf* best) {
+  for (uint32_t j = 0; j < bits && n != nullptr; ++j) {
+    n = n->child[(v >> (bits - 1 - j)) & 1].get();
+    if (n != nullptr && n->leaf != nullptr) best = n->leaf.get();
+  }
+  return best;
+}
+
+// Controlled prefix expansion of one stride: for each of the 2^s values of
+// the next s key bits, walk the bit path and leaf-push the deepest entry
+// passed. Unused high values of a partial stride stay null and are never
+// indexed by a lookup.
+void LpmTable::FillBest(StrideNode& n, const Node* bn, uint32_t depth) const {
+  uint32_t s = StrideAt(depth);
+  for (uint32_t v = 0; v < (1u << s); ++v) {
+    const Node* walk = bn;
+    n.cell[v].best = Follow(walk, v, s, nullptr);
+  }
+}
+
+void LpmTable::Repath(const mem::BitString& key, uint32_t len) {
+  Root& root = Pending();
+  const uint32_t top = TopBits(key);
+  if (len <= root_bits_) {
+    // Re-push the deepest short prefix into every slot under this one.
+    uint32_t span = 1u << (root_bits_ - len);
+    for (uint32_t v = top & ~(span - 1), end = v + span; v < end; ++v) {
+      const Node* walk = root_.get();
+      root.slots[v].short_leaf = Follow(walk, v, root_bits_, walk->leaf.get());
+    }
+  } else {
+    const Node* bn = root_.get();
+    Follow(bn, top, root_bits_, nullptr);
+    StrideNode*& slot = root.slots[top].node;
+    slot = Rebuild(slot, bn, root_bits_, key, len);
+  }
+  MaybePublish();
+}
+
+LpmTable::StrideNode* LpmTable::Rebuild(StrideNode* n, const Node* bn,
+                                        uint32_t depth,
+                                        const mem::BitString& key,
+                                        uint32_t len) {
+  const uint32_t s = StrideAt(depth);
+  if (len > depth + s) {
+    auto v = static_cast<uint32_t>(
+        key.GetBits(spec_.key_width_bits - depth - s, s));
+    StrideNode* old = n != nullptr ? n->cell[v].child : nullptr;
+    Follow(bn, v, s, nullptr);
+    StrideNode* child = Rebuild(old, bn, depth + s, key, len);
+    if (child == old) return n;  // edited in place below: nothing to relink
+    n = Own(n);
+    n->cell[v].child = child;
+  } else {
+    n = Own(n);
+    FillBest(*n, bn, depth);
+  }
+  if (!n->empty()) return n;
+  delete n;  // built by this generation: never published
+  return nullptr;
 }
 
 void LpmTable::Publish() {
-  if (!any_dirty_) return;
-  const Root* old = published_.load(std::memory_order_relaxed);
-  Root* next = new Root;
-  next->root_bits = root_bits_;
-  size_t slot_count = size_t{1} << root_bits_;
-  next->slots.resize(slot_count);
-  if (!short_dirty_) next->short_leaves = old->short_leaves;
-  // Scratch row -> leaf-index map, reset per shard by walking its leaves so
-  // one allocation serves every dirty shard in this publish.
-  std::vector<int32_t> row_leaf(spec_.size, -1);
-  for (size_t v = 0; v < slot_count; ++v) {
-    SlotRef& slot = next->slots[v];
-    if (!short_dirty_ && !dirty_slots_[v]) {
-      slot = old->slots[v];  // clean: share the shard, keep the leaf
-      continue;
-    }
-    // Walk the top R bits of this slot, leaf-pushing the deepest short
-    // prefix; the node reached at depth R anchors the slot's shard.
-    const Node* walk = root_.get();
-    int32_t best_row = root_->row;
-    for (uint32_t j = 0; j < root_bits_ && walk != nullptr; ++j) {
-      walk = walk->child[(v >> (root_bits_ - 1 - j)) & 1].get();
-      if (walk != nullptr && walk->row >= 0) best_row = walk->row;
-    }
-    if (short_dirty_) {
-      if (best_row >= 0) {
-        slot.short_leaf = static_cast<int32_t>(next->short_leaves.size());
-        next->short_leaves.push_back(
-            Leaf{static_cast<uint32_t>(best_row), DecodeRow(best_row)});
-      }
-    } else {
-      slot.short_leaf = old->slots[v].short_leaf;
-    }
-    slot.shard =
-        dirty_slots_[v] ? BuildShard(walk, row_leaf) : old->slots[v].shard;
-  }
-  published_.store(next, std::memory_order_release);
-  rcu::Domain::Global().Retire(const_cast<Root*>(old));
-  std::fill(dirty_slots_.begin(), dirty_slots_.end(), false);
-  short_dirty_ = false;
-  any_dirty_ = false;
-  rcu::Domain::Global().Synchronize();
-}
-
-std::shared_ptr<const LpmTable::ShardView> LpmTable::BuildShard(
-    const Node* base, std::vector<int32_t>& row_leaf) const {
-  if (base == nullptr || (!base->child[0] && !base->child[1])) return nullptr;
-  auto view = std::make_shared<ShardView>();
-  BuildStrideNode(base, root_bits_, *view, row_leaf);
-  for (const Leaf& l : view->leaves) row_leaf[l.row] = -1;
-  return view;
-}
-
-// Expands the binary subtrie below `n` (at MSB depth `depth`) into one
-// stride node: for each of the 2^s values of the next s key bits, walk the
-// bit path and leaf-push the deepest row passed, remembering where the next
-// stride continues. Unused high values of a partial final stride stay at -1
-// and are never indexed by Lookup.
-int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
-                                  ShardView& view,
-                                  std::vector<int32_t>& row_leaf) const {
-  uint32_t s = std::min(kStrideBits, spec_.key_width_bits - depth);
-  int32_t self = static_cast<int32_t>(view.nodes.size());
-  view.nodes.emplace_back();
-  std::fill(std::begin(view.nodes[self].best),
-            std::end(view.nodes[self].best), -1);
-  std::fill(std::begin(view.nodes[self].child),
-            std::end(view.nodes[self].child), -1);
-  for (uint32_t v = 0; v < (1u << s); ++v) {
-    const Node* walk = n;
-    int32_t best = -1;
-    for (uint32_t j = 0; j < s && walk != nullptr; ++j) {
-      walk = walk->child[(v >> (s - 1 - j)) & 1].get();
-      if (walk != nullptr && walk->row >= 0) {
-        int32_t& leaf = row_leaf[walk->row];
-        if (leaf < 0) {
-          leaf = static_cast<int32_t>(view.leaves.size());
-          view.leaves.push_back(Leaf{static_cast<uint32_t>(walk->row),
-                                     DecodeRow(walk->row)});
-        }
-        best = leaf;
-      }
-    }
-    view.nodes[self].best[v] = best;
-    if (walk != nullptr && depth + s < spec_.key_width_bits &&
-        (walk->child[0] || walk->child[1])) {
-      int32_t child = BuildStrideNode(walk, depth + s, view, row_leaf);
-      // Recursion may grow view.nodes; re-index instead of holding a
-      // reference across the call.
-      view.nodes[self].child[v] = child;
-    }
-  }
-  return self;
+  if (pending_ == nullptr) return;
+  retired_.root.reset(published_.load(std::memory_order_relaxed));
+  published_.store(pending_, std::memory_order_release);
+  pending_ = nullptr;
+  ++gen_;  // everything built so far is visible now, hence immutable
+  auto& domain = rcu::Domain::Global();
+  domain.Retire(new Retired(std::move(retired_)));  // leaves retired_ empty
+  domain.Synchronize();
 }
 
 void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
   rcu::Domain::ReadGuard guard(rcu::Domain::Global());
   const Root* root = published_.load(std::memory_order_acquire);
-  uint32_t width = spec_.key_width_bits;
-  uint32_t rb = root->root_bits;
-  uint32_t top =
-      rb != 0 ? static_cast<uint32_t>(key.GetBits(width - rb, rb)) : 0;
-  const SlotRef& slot = root->slots[top];
-  const Leaf* best = slot.short_leaf >= 0
-                         ? &root->short_leaves[slot.short_leaf]
-                         : nullptr;
-  // Reading through the shared_ptr without copying it is safe: the Root is
-  // immutable and epoch-protected, and it holds the shard alive.
-  const ShardView* shard = slot.shard.get();
-  if (shard != nullptr && !shard->nodes.empty()) {
-    uint32_t consumed = rb;
-    int32_t node = 0;
-    while (node >= 0 && consumed < width) {
-      uint32_t s = std::min(kStrideBits, width - consumed);
-      uint32_t v =
-          static_cast<uint32_t>(key.GetBits(width - consumed - s, s));
-      const StrideNode& sn = shard->nodes[static_cast<size_t>(node)];
-      if (sn.best[v] >= 0) best = &shard->leaves[sn.best[v]];
-      node = sn.child[v];
-      consumed += s;
-    }
+  const uint32_t width = spec_.key_width_bits;
+  const Slot& slot = root->slots[TopBits(key)];
+  const Leaf* best = slot.short_leaf;
+  uint32_t consumed = root_bits_;
+  for (const StrideNode* n = slot.node; n != nullptr;) {
+    uint32_t s = StrideAt(consumed);
+    const StrideNode::Cell& c = n->cell[key.GetBits(width - consumed - s, s)];
+    if (c.best != nullptr) best = c.best;
+    n = c.child;
+    consumed += s;
   }
   if (best == nullptr) {
     MissInto(out);
@@ -249,11 +224,36 @@ void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
 }
 
 void LpmTable::RefreshCache() {
-  // Pool rows were rewritten underneath us: re-decode everything.
-  std::fill(dirty_slots_.begin(), dirty_slots_.end(), true);
-  short_dirty_ = true;
-  any_dirty_ = true;
-  Publish();
+  // Pool rows were rewritten underneath us: re-decode every leaf, then
+  // refill every slot and stride node that may point at one.
+  std::vector<Node*> stack{root_.get()};
+  while (!stack.empty()) {
+    Node* n = stack.back();
+    stack.pop_back();
+    if (n->leaf != nullptr) SetLeaf(*n, n->leaf->row);
+    for (const std::unique_ptr<Node>& c : n->child) {
+      if (c) stack.push_back(c.get());
+    }
+  }
+  Root& root = Pending();
+  for (uint32_t v = 0; v < shard_count(); ++v) {
+    const Node* bn = root_.get();
+    root.slots[v].short_leaf = Follow(bn, v, root_bits_, bn->leaf.get());
+    Refill(root.slots[v].node, bn, root_bits_);
+  }
+  MaybePublish();
+}
+
+void LpmTable::Refill(StrideNode*& link, const Node* bn, uint32_t depth) {
+  if (link == nullptr) return;
+  StrideNode* n = link = Own(link);
+  FillBest(*n, bn, depth);
+  uint32_t s = StrideAt(depth);
+  for (uint32_t v = 0; v < (1u << s); ++v) {
+    const Node* walk = bn;
+    Follow(walk, v, s, nullptr);
+    Refill(n->cell[v].child, walk, depth + s);
+  }
 }
 
 }  // namespace ipsa::table

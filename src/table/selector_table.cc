@@ -30,15 +30,6 @@ void SelectorTable::Publish() {
   rcu::Domain::Global().Synchronize();
 }
 
-void SelectorTable::MaybePublish() {
-  if (!in_batch_) Publish();
-}
-
-void SelectorTable::EndBatch() {
-  in_batch_ = false;
-  Publish();
-}
-
 Status SelectorTable::InsertOp(const Entry& entry, bool upsert) {
   uint64_t bucket = entry.key.ToUint64();
   if (bucket >= spec_.size) {

@@ -30,8 +30,6 @@ class SelectorTable : public MatchTable {
   // Hashes `key` over the populated buckets.
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
 
   uint32_t BucketCount() const {
     return static_cast<uint32_t>(populated_.size());
@@ -51,15 +49,13 @@ class SelectorTable : public MatchTable {
     std::vector<Member> members;  // ascending bucket order
   };
 
-  void Publish();
-  void MaybePublish();
+  void Publish() override;
 
   // Rows that currently hold a member, in ascending bucket order
   // (writer-side; lookups use the published snapshot).
   std::vector<uint32_t> populated_;
   std::atomic<const View*> published_{nullptr};
   bool dirty_ = false;
-  bool in_batch_ = false;
 };
 
 }  // namespace ipsa::table

@@ -105,9 +105,12 @@ class MatchTable {
   // EndBatch — one atomic swap (and one RCU grace period) amortized over
   // the whole batch instead of per op. Lookups keep serving the last
   // published view meanwhile: a bulk frame becomes visible atomically.
-  // Calls never nest; EndBatch without a pending batch is a no-op.
-  virtual void BeginBatch() {}
-  virtual void EndBatch() {}
+  // Batches nest (a modify inside a bulk frame opens its own); only the
+  // outermost EndBatch publishes. EndBatch without an open batch is a no-op.
+  void BeginBatch() { ++batch_depth_; }
+  void EndBatch() {
+    if (batch_depth_ > 0 && --batch_depth_ == 0) Publish();
+  }
 
   // Fills `out` in place, reusing its BitString capacity — zero allocations
   // in steady state. The hot-path entry point.
@@ -136,6 +139,12 @@ class MatchTable {
 
  protected:
   virtual Status InsertOp(const Entry& entry, bool upsert) = 0;
+  // Makes every mutation so far visible to lookups. Runs after each op
+  // outside a batch (MaybePublish) and once at the outermost EndBatch.
+  virtual void Publish() {}
+  void MaybePublish() {
+    if (batch_depth_ == 0) Publish();
+  }
   MatchTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
       : spec_(std::move(spec)), pool_(&pool), storage_(std::move(storage)) {}
 
@@ -180,6 +189,7 @@ class MatchTable {
   std::atomic<uint32_t> entry_count_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
+  uint32_t batch_depth_ = 0;  // writer-only: open BeginBatch calls
 };
 
 // Factory: allocates pool storage and builds the right subclass.

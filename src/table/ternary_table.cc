@@ -46,15 +46,6 @@ void TernaryTable::Publish() {
   rcu::Domain::Global().Synchronize();
 }
 
-void TernaryTable::MaybePublish() {
-  if (!in_batch_) Publish();
-}
-
-void TernaryTable::EndBatch() {
-  in_batch_ = false;
-  Publish();
-}
-
 Status TernaryTable::InsertOp(const Entry& entry, bool upsert) {
   if (entry.key.bit_width() != spec_.key_width_bits ||
       entry.mask.bit_width() != spec_.key_width_bits) {

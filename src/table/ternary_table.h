@@ -35,8 +35,6 @@ class TernaryTable : public MatchTable {
   Status Erase(const Entry& entry) override;
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
 
  protected:
   Status InsertOp(const Entry& entry, bool upsert) override;
@@ -70,8 +68,7 @@ class TernaryTable : public MatchTable {
   // still shares it (use_count observed > 1 is a safe over-approximation;
   // an undercount only happens once the old view's grace period elapsed).
   MaskBucket* MutableBucket(size_t idx);
-  void Publish();
-  void MaybePublish();
+  void Publish() override;
   static std::vector<uint64_t> Words(const mem::BitString& bits);
 
   std::vector<std::shared_ptr<MaskBucket>> buckets_;  // writer-side
@@ -79,7 +76,6 @@ class TernaryTable : public MatchTable {
   std::vector<uint32_t> free_rows_;
   uint64_t next_seq_ = 0;
   bool dirty_ = false;
-  bool in_batch_ = false;
 };
 
 }  // namespace ipsa::table

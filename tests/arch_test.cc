@@ -121,6 +121,12 @@ struct FieldCase {
   uint64_t expected;
 };
 
+// Names each case "instance.field". Without it gtest prints the param's raw
+// bytes, which hold string addresses, so test names changed from run to run.
+void PrintTo(const FieldCase& c, std::ostream* os) {
+  *os << c.instance << "." << c.field;
+}
+
 class ContextFieldTest : public ::testing::TestWithParam<FieldCase> {
  protected:
   ContextFieldTest()

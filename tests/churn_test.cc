@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -214,10 +215,23 @@ net::Packet V4Packet(uint32_t dst_low, uint16_t sport) {
 }
 
 // A writer thread toggles the /32 route for one destination between two
-// nexthops (upsert — no miss window) while the main thread keeps pushing
-// packets for that destination. Every packet must egress on one of the two
-// ports; anything else means a lookup observed a half-published entry.
-void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
+// nexthops while the main thread keeps pushing packets for that
+// destination. Every packet must egress on one of the two ports; anything
+// else means a lookup observed a half-published entry, or the miss between
+// a modify's erase and add (the covering /8 forwards elsewhere). `toggle`
+// is kAdd (an upsert) or kModify (erase + add under one publication).
+//
+// The reader starts once the writer has toggled at least once and keeps
+// injecting until it has seen kMinToggles more, so the interleaving the test
+// exists for happens however the scheduler orders the two threads; only a
+// writer that stops making progress runs into the deadline.
+void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter,
+                    rpc::TableOpKind toggle = rpc::TableOpKind::kAdd) {
+  constexpr uint32_t kMinInjections = 400;
+  constexpr uint64_t kMinToggles = 64;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+
   auto backend = daemon::MakeBackend(arch);
   auto installed = backend->Install(rpc::InstallKind::kBaseP4,
                                     controller::designs::BaseP4());
@@ -234,16 +248,17 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
   controller::BaselineConfig config;
   constexpr uint32_t kDst = 4;      // host table covers only 0..3: LPM decides
   constexpr uint32_t kDonor = 5;    // same action, different nexthop
-  const rpc::TableOp* route_a = nullptr;
   const rpc::TableOp* donor = nullptr;
+  rpc::TableOp route_a;
   for (const rpc::TableOp& op : ops) {
     if (op.table != "ipv4_lpm" || op.entry.prefix_len != 32) continue;
-    if (op.entry.key.ToUint64() == config.v4_dst_base + kDst) route_a = &op;
+    if (op.entry.key.ToUint64() == config.v4_dst_base + kDst) route_a = op;
     if (op.entry.key.ToUint64() == config.v4_dst_base + kDonor) donor = &op;
   }
-  ASSERT_NE(route_a, nullptr);
+  ASSERT_EQ(route_a.table, "ipv4_lpm");
   ASSERT_NE(donor, nullptr);
-  rpc::TableOp route_b = *route_a;
+  route_a.op = toggle;
+  rpc::TableOp route_b = route_a;
   route_b.entry.action_id = donor->entry.action_id;
   route_b.entry.action_data = donor->entry.action_data;
 
@@ -257,7 +272,7 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
   std::thread writer([&] {
     bool flip = false;
     while (!done.load(std::memory_order_acquire)) {
-      Status s = backend->ApplyTableOp(flip ? route_b : *route_a);
+      Status s = backend->ApplyTableOp(flip ? route_b : route_a);
       if (!s.ok()) {
         failure.Record("writer: " + s.ToString());
         return;
@@ -267,11 +282,29 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
     }
   });
 
-  for (uint32_t i = 0; i < 400 && !failure.failed.load(); ++i) {
-    auto tx = daemon::InjectAndDrain(*backend,
-                                     V4Packet(kDst, static_cast<uint16_t>(
-                                                        4000 + (i % 1024))),
-                                     /*in_port=*/0);
+  auto timed_out = [&] {
+    return std::chrono::steady_clock::now() > deadline;
+  };
+  while (toggles.load(std::memory_order_relaxed) == 0 &&
+         !failure.failed.load() && !timed_out()) {
+    std::this_thread::yield();
+  }
+  const uint64_t first = toggles.load(std::memory_order_relaxed);
+  uint32_t injected = 0;
+  while (!failure.failed.load() &&
+         (injected < kMinInjections ||
+          toggles.load(std::memory_order_relaxed) - first < kMinToggles)) {
+    if (timed_out()) {
+      failure.Record("deadline: " + std::to_string(injected) +
+                     " packets, " +
+                     std::to_string(toggles.load() - first) + " toggles");
+      break;
+    }
+    auto tx = daemon::InjectAndDrain(
+        *backend,
+        V4Packet(kDst, static_cast<uint16_t>(4000 + (injected % 1024))),
+        /*in_port=*/0);
+    ++injected;
     if (!tx.ok()) {
       failure.Record("inject: " + tx.status().ToString());
       break;
@@ -293,7 +326,6 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
   done.store(true, std::memory_order_release);
   writer.join();
   ASSERT_FALSE(failure.failed.load()) << failure.detail;
-  EXPECT_GT(toggles.load(), 0u);
 }
 
 TEST(DeviceChurnTest, IpsaInterpreterOldOrNewRoute) {
@@ -310,6 +342,18 @@ TEST(DeviceChurnTest, PisaInterpreterOldOrNewRoute) {
 
 TEST(DeviceChurnTest, PisaSpecializedOldOrNewRoute) {
   RunDeviceChurn(daemon::ArchKind::kPisa, /*force_interpreter=*/false);
+}
+
+// kModify erases and re-adds; both must land in one publication, or a
+// packet between them falls through to the covering /8.
+TEST(DeviceChurnTest, IpsaModifyOldOrNewRoute) {
+  RunDeviceChurn(daemon::ArchKind::kIpsa, /*force_interpreter=*/false,
+                 rpc::TableOpKind::kModify);
+}
+
+TEST(DeviceChurnTest, PisaModifyOldOrNewRoute) {
+  RunDeviceChurn(daemon::ArchKind::kPisa, /*force_interpreter=*/false,
+                 rpc::TableOpKind::kModify);
 }
 
 }  // namespace

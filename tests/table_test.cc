@@ -161,6 +161,16 @@ TEST_F(TableTest, LpmRejectsOverlongPrefix) {
   Entry e = MakeEntry(1, 32, 1, 0);
   e.prefix_len = 33;
   EXPECT_FALSE((*t)->Insert(e).ok());
+  // Erase too: entries reach the table unchecked from the control channel,
+  // and a /33 under a present /32 would walk past the key's last bit.
+  Entry host = MakeEntry(1, 32, 1, 7);
+  host.prefix_len = 32;
+  ASSERT_TRUE((*t)->Insert(host).ok());
+  EXPECT_EQ((*t)->Erase(e).code(), StatusCode::kInvalidArgument);
+  Entry narrow = MakeEntry(1, 16, 1, 0);
+  narrow.prefix_len = 16;
+  EXPECT_EQ((*t)->Erase(narrow).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE((*t)->Lookup(mem::BitString(32, 1)).hit);
 }
 
 TEST_F(TableTest, LpmHandles128BitKeys) {
@@ -198,72 +208,245 @@ TEST_F(TableTest, LpmHandles128BitKeys) {
   EXPECT_FALSE((*t)->Lookup(outside).hit);
 }
 
-// Randomized sweep: trie result must equal a linear reference scan.
+// Randomized sweep: trie result must equal a linear reference scan. The
+// base params insert random prefixes into a 512-entry 32-bit table, then
+// probe. The extended ones (size set) interleave upserts, strict adds,
+// erases, deferred batches and RefreshCache with lookups; clustered params
+// put every key under one set of top bits (one root slot), the layout of
+// the baseline's ipv4_lpm. The fields pack into 16 bytes with no padding:
+// gtest names each case by the param's bytes, and the base cases keep the
+// names they had before the extension.
 struct LpmSweepParam {
   uint64_t seed;
   uint32_t entries;
+  uint8_t clustered = 0;
+  uint8_t key_width = 0;  // 0 = 32
+  uint16_t size = 0;      // 0 = 512, base (insert-then-probe) case
 };
+static_assert(sizeof(LpmSweepParam) == 16);
 
 class LpmSweepTest : public ::testing::TestWithParam<LpmSweepParam> {};
 
-TEST_P(LpmSweepTest, MatchesLinearReference) {
-  mem::Pool pool(TestPool());
-  auto t = CreateTable(Spec("fib", MatchKind::kLpm, 32, 512), pool, 1);
-  ASSERT_TRUE(t.ok());
-  util::Rng rng(GetParam().seed);
+struct LpmRef {
+  mem::BitString prefix;  // bits below the prefix length are zero
+  uint32_t len;
+  uint64_t data;
+};
 
-  struct RefEntry {
-    uint32_t prefix;
-    uint32_t len;
-    uint64_t data;
-  };
-  std::vector<RefEntry> ref;
-  for (uint32_t i = 0; i < GetParam().entries; ++i) {
-    uint32_t len = static_cast<uint32_t>(rng.NextInRange(0, 32));
-    uint32_t prefix = static_cast<uint32_t>(rng.Next());
-    if (len != 0 && len < 32) prefix &= ~((1u << (32 - len)) - 1);
-    Entry e = MakeEntry(prefix, 32, 1, i + 1);
-    e.prefix_len = len;
-    ASSERT_TRUE((*t)->Insert(e).ok());
-    // Reference keeps the last data for duplicate prefixes (update-in-place).
-    bool updated = false;
-    for (auto& r : ref) {
-      if (r.prefix == prefix && r.len == len) {
-        r.data = i + 1;
-        updated = true;
-      }
-    }
-    if (!updated) ref.push_back({prefix, len, i + 1});
+bool PrefixCovers(const LpmRef& r, const mem::BitString& addr, uint32_t w) {
+  for (uint32_t i = 0; i < r.len; ++i) {
+    if (addr.GetBit(w - 1 - i) != r.prefix.GetBit(w - 1 - i)) return false;
   }
-
-  for (int q = 0; q < 500; ++q) {
-    uint32_t addr = static_cast<uint32_t>(rng.Next());
-    // Linear reference: longest matching prefix, latest data.
-    int32_t best_len = -1;
-    uint64_t best_data = 0;
-    for (const auto& r : ref) {
-      uint32_t mask = r.len == 0 ? 0 : ~((r.len == 32 ? 0 : (1u << (32 - r.len)) - 1));
-      if ((addr & mask) == (r.prefix & mask) &&
-          static_cast<int32_t>(r.len) > best_len) {
-        best_len = static_cast<int32_t>(r.len);
-        best_data = r.data;
-      }
-    }
-    LookupResult got = (*t)->Lookup(mem::BitString(32, addr));
-    if (best_len < 0) {
-      EXPECT_FALSE(got.hit) << "addr=" << addr;
-    } else {
-      ASSERT_TRUE(got.hit) << "addr=" << addr;
-      EXPECT_EQ(got.action_data.ToUint64(), best_data) << "addr=" << addr;
-    }
-  }
+  return true;
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomTries, LpmSweepTest,
-                         ::testing::Values(LpmSweepParam{1, 16},
-                                           LpmSweepParam{2, 64},
-                                           LpmSweepParam{3, 200},
-                                           LpmSweepParam{4, 400}));
+// Longest matching prefix, or nullptr.
+const LpmRef* RefLookup(const std::vector<LpmRef>& ref,
+                        const mem::BitString& addr, uint32_t w) {
+  const LpmRef* best = nullptr;
+  for (const LpmRef& r : ref) {
+    if ((best == nullptr || r.len > best->len) && PrefixCovers(r, addr, w)) {
+      best = &r;
+    }
+  }
+  return best;
+}
+
+TEST_P(LpmSweepTest, MatchesLinearReference) {
+  const LpmSweepParam& p = GetParam();
+  const uint32_t w = p.key_width != 0 ? p.key_width : 32;
+  const bool interleaved = p.size != 0;
+  mem::PoolConfig cfg = TestPool();
+  cfg.sram_depth = 1024;
+  mem::Pool pool(cfg);
+  auto t = CreateTable(
+      Spec("fib", MatchKind::kLpm, w, interleaved ? p.size : 512), pool, 1);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  MatchTable& table = **t;
+  util::Rng rng(p.seed);
+
+  auto random_bits = [&] {
+    mem::BitString b(w);
+    for (uint32_t at = 0; at < w; at += 64) {
+      b.SetBits(at, std::min(64u, w - at), rng.Next());
+    }
+    return b;
+  };
+  // Clustered keys: base | k, with the top byte fixed (10.0.0.0 + k for
+  // 32-bit keys), mostly host-length prefixes.
+  auto draw_prefix = [&](uint32_t& len) {
+    mem::BitString key;
+    if (p.clustered) {
+      key = mem::BitString(w);
+      key.SetBits(w - 8, 8, 0x0A);
+      key.SetBits(0, 16, rng.NextBelow(p.entries));
+      len = rng.NextBelow(8) == 0
+                ? static_cast<uint32_t>(rng.NextInRange(8, w))
+                : w;
+    } else {
+      key = random_bits();
+      len = static_cast<uint32_t>(rng.NextInRange(0, w));
+    }
+    for (uint32_t i = 0; i + len < w; ++i) key.SetBit(i, false);
+    return key;
+  };
+
+  std::vector<LpmRef> ref;
+  auto find_ref = [&](const mem::BitString& key, uint32_t len) {
+    for (size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i].len == len && ref[i].prefix == key) return i;
+    }
+    return ref.size();
+  };
+  uint64_t next_data = 1;
+  auto apply_op = [&] {
+    uint32_t len = 0;
+    mem::BitString key = draw_prefix(len);
+    Entry e;
+    e.key = key;
+    e.prefix_len = len;
+    e.action_id = 1;
+    e.action_data = mem::BitString(32, next_data);
+    size_t at = find_ref(key, len);
+    uint64_t roll = interleaved ? rng.NextBelow(8) : 0;
+    if (roll < 4) {  // upsert
+      ASSERT_TRUE(table.Insert(e).ok());
+      if (at < ref.size()) {
+        ref[at].data = next_data;
+      } else {
+        ref.push_back({key, len, next_data});
+      }
+      ++next_data;
+    } else if (roll < 6) {  // strict add
+      Status s = table.InsertUnique(e);
+      if (at < ref.size()) {
+        ASSERT_EQ(s.code(), StatusCode::kAlreadyExists);
+      } else {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ref.push_back({key, len, next_data++});
+      }
+    } else {  // erase, of a present prefix most of the time
+      if (!ref.empty() && roll == 7) {
+        at = rng.NextBelow(ref.size());
+        e.key = ref[at].prefix;
+        e.prefix_len = ref[at].len;
+      }
+      Status s = table.Erase(e);
+      if (at < ref.size()) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ref.erase(ref.begin() + static_cast<long>(at));
+      } else {
+        ASSERT_EQ(s.code(), StatusCode::kNotFound);
+      }
+    }
+  };
+  // Probes near a live prefix half the time, so long matches get checked.
+  auto probe = [&](const std::vector<LpmRef>& want) {
+    mem::BitString addr = random_bits();
+    if (!want.empty() && rng.NextBelow(2) == 0) {
+      const LpmRef& r = want[rng.NextBelow(want.size())];
+      for (uint32_t i = 0; i < r.len; ++i) {
+        addr.SetBit(w - 1 - i, r.prefix.GetBit(w - 1 - i));
+      }
+    }
+    const LpmRef* best = RefLookup(want, addr, w);
+    LookupResult got = table.Lookup(addr);
+    if (best == nullptr) {
+      EXPECT_FALSE(got.hit) << "addr=" << addr.ToHex();
+    } else {
+      ASSERT_TRUE(got.hit) << "addr=" << addr.ToHex();
+      EXPECT_EQ(got.action_data.ToUint64(), best->data)
+          << "addr=" << addr.ToHex() << " want /" << best->len;
+    }
+  };
+
+  for (uint32_t i = 0; i < p.entries; ++i) {
+    if (!interleaved) {
+      apply_op();
+      continue;
+    }
+    uint64_t roll = rng.NextBelow(32);
+    if (roll == 0) {
+      table.RefreshCache();
+    } else if (roll < 4) {
+      // A deferred batch: lookups keep serving the state before it.
+      std::vector<LpmRef> before = ref;
+      table.BeginBatch();
+      for (uint64_t n = 1 + rng.NextBelow(16); n > 0; --n) {
+        apply_op();
+        probe(before);
+      }
+      table.EndBatch();
+    } else {
+      apply_op();
+    }
+    for (int q = 0; q < 4; ++q) probe(ref);
+    if (HasFatalFailure()) return;
+  }
+  for (int q = 0; q < 500; ++q) probe(ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomTries, LpmSweepTest,
+    ::testing::Values(
+        LpmSweepParam{1, 16}, LpmSweepParam{2, 64}, LpmSweepParam{3, 200},
+        LpmSweepParam{4, 400},
+        LpmSweepParam{5, 1500, /*clustered=*/1, /*key_width=*/32, 8192},
+        LpmSweepParam{6, 1500, /*clustered=*/0, /*key_width=*/32, 8192},
+        LpmSweepParam{7, 600, /*clustered=*/0, /*key_width=*/128, 1024},
+        LpmSweepParam{8, 600, /*clustered=*/1, /*key_width=*/128, 8192}));
+
+// The baseline's clustered layout: 8001 /32s at 10.0.0.0+k plus the /8
+// above them, all under the same top R bits, so all in one root slot. A
+// single upsert or erase still builds and retires only the stride path it
+// touches plus one leaf, not the slot's other routes.
+TEST(LpmTableTest, ClusteredSingleOpBuildsOneStridePath) {
+  mem::PoolConfig cfg = TestPool();
+  cfg.sram_depth = 1024;
+  mem::Pool pool(cfg);
+  auto created = CreateTable(Spec("ipv4_lpm", MatchKind::kLpm, 32, 8192),
+                             pool, 1);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto* t = dynamic_cast<LpmTable*>(created->get());
+  ASSERT_NE(t, nullptr);
+  constexpr uint32_t kBase = 0x0A000000;
+  auto route = [](uint32_t addr, uint32_t len, uint64_t data) {
+    Entry e = MakeEntry(addr, 32, 1, data);
+    e.prefix_len = len;
+    return e;
+  };
+  t->BeginBatch();
+  ASSERT_TRUE(t->Insert(route(kBase, 8, 0xFFFF)).ok());
+  for (uint32_t k = 0; k < 8001; ++k) {
+    ASSERT_TRUE(t->Insert(route(kBase + k, 32, k)).ok());
+  }
+  t->EndBatch();
+
+  uint32_t root_bits = 0;
+  while ((1u << root_bits) < t->shard_count()) ++root_bits;
+  const uint64_t bound = (32 - root_bits + 3) / 4 + 1;  // ceil((W-R)/4) + 1
+  auto expect_one_path = [&](const Entry& e, bool erase) {
+    LpmTable::NodeCounts before = t->node_counts();
+    ASSERT_TRUE((erase ? t->Erase(e) : t->Insert(e)).ok());
+    LpmTable::NodeCounts after = t->node_counts();
+    EXPECT_GT(after.built + after.retired, before.built + before.retired);
+    EXPECT_LE(after.built - before.built, bound);
+    EXPECT_LE(after.retired - before.retired, bound);
+  };
+  expect_one_path(route(kBase + 100, 32, 0xAB), /*erase=*/false);
+  EXPECT_EQ(t->Lookup(mem::BitString(32, kBase + 100)).action_data.ToUint64(),
+            0xABu);
+  expect_one_path(route(kBase + 101, 32, 0), /*erase=*/true);
+  EXPECT_EQ(t->Lookup(mem::BitString(32, kBase + 101)).action_data.ToUint64(),
+            0xFFFFu);  // falls back to the /8
+  EXPECT_EQ(t->Lookup(mem::BitString(32, kBase + 102)).action_data.ToUint64(),
+            102u);
+  expect_one_path(route(kBase + 101, 32, 0xCD), /*erase=*/false);
+  expect_one_path(route(kBase, 8, 0xEE), /*erase=*/false);
+  EXPECT_EQ(
+      t->Lookup(mem::BitString(32, kBase + 9000)).action_data.ToUint64(),
+      0xEEu);
+}
 
 // --- ternary ---------------------------------------------------------------------
 
